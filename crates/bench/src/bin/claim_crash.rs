@@ -27,6 +27,7 @@
 
 use dra4wfms_core::prelude::*;
 use dra_bench::fig9;
+use dra_bench::write_artifact;
 use dra_cloud::{
     alerts_to_jsonl, check_metric_invariants, tracer_for, Alert, CloudSystem, CrashPlan,
     CrashPoint, Delivery, HealthMonitor, InstanceRun, MonitorConfig, NetworkSim,
@@ -300,32 +301,26 @@ fn main() {
         ));
     }
     json.push_str("]\n");
-    match std::fs::write("BENCH_crash.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_crash.json ({} cells)", cells.len()),
-        Err(e) => eprintln!("\ncould not write BENCH_crash.json: {e}"),
-    }
+    write_artifact("BENCH_crash.json", &json);
+    println!("\nwrote BENCH_crash.json ({} cells)", cells.len());
 
     // optional exports: span stream of the first crashed tfc cell (the
     // richest trace: crash + takeover + TFC redo), and the sweep's alerts
     if let Some(path) = &trace_out {
         let canonical =
             cells.iter().find(|c| c.mode == "tfc" && c.crashes > 0).unwrap_or(&cells[0]);
-        match std::fs::write(path, events_to_jsonl(&canonical.events)) {
-            Ok(()) => println!(
-                "wrote {path} ({} spans, {} cell seed {})",
-                canonical.events.len(),
-                canonical.point,
-                canonical.seed
-            ),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        write_artifact(path, events_to_jsonl(&canonical.events));
+        println!(
+            "wrote {path} ({} spans, {} cell seed {})",
+            canonical.events.len(),
+            canonical.point,
+            canonical.seed
+        );
     }
     if let Some(path) = &alerts_out {
         let all: Vec<Alert> = cells.iter().flat_map(|c| c.alerts.clone()).collect();
-        match std::fs::write(path, alerts_to_jsonl(&all)) {
-            Ok(()) => println!("wrote {path} ({} alerts)", all.len()),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        write_artifact(path, alerts_to_jsonl(&all));
+        println!("wrote {path} ({} alerts)", all.len());
     }
 
     println!(

@@ -30,6 +30,7 @@
 
 use dra4wfms_core::prelude::*;
 use dra_bench::fig9;
+use dra_bench::write_artifact;
 use dra_cloud::{
     alerts_to_jsonl, check_metric_invariants, tracer_for, Alert, AuditConfig, CloudSystem,
     Delivery, DeliveryPolicy, FaultProfile, HealthMonitor, InstanceRun, MonitorConfig, NetworkSim,
@@ -460,23 +461,17 @@ fn main() {
         ));
     }
     json.push_str("]\n");
-    match std::fs::write("BENCH_dashboard.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_dashboard.json ({} cells)", cells.len()),
-        Err(e) => eprintln!("\ncould not write BENCH_dashboard.json: {e}"),
-    }
+    write_artifact("BENCH_dashboard.json", &json);
+    println!("\nwrote BENCH_dashboard.json ({} cells)", cells.len());
 
     if let Some(dashboard) = &dashboard_out {
-        match std::fs::write("fleet_dashboard.json", dashboard) {
-            Ok(()) => println!("wrote fleet_dashboard.json"),
-            Err(e) => eprintln!("could not write fleet_dashboard.json: {e}"),
-        }
+        write_artifact("fleet_dashboard.json", dashboard);
+        println!("wrote fleet_dashboard.json");
     }
     if let Some(path) = &alerts_out {
         let all: Vec<Alert> = cells.iter().flat_map(|c| c.alerts.clone()).collect();
-        match std::fs::write(path, alerts_to_jsonl(&all)) {
-            Ok(()) => println!("wrote {path} ({} alerts)", all.len()),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        write_artifact(path, alerts_to_jsonl(&all));
+        println!("wrote {path} ({} alerts)", all.len());
     }
 
     // verdicts

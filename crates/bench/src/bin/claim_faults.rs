@@ -21,6 +21,7 @@
 
 use dra4wfms_core::prelude::*;
 use dra_bench::fig9;
+use dra_bench::write_artifact;
 use dra_cloud::{
     alerts_to_jsonl, check_metric_invariants, tracer_for, Alert, CloudSystem, Delivery,
     DeliveryPolicy, FaultProfile, HealthMonitor, InstanceRun, MonitorConfig, NetworkSim,
@@ -219,30 +220,24 @@ fn main() {
         ));
     }
     json.push_str("]\n");
-    match std::fs::write("BENCH_faults.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_faults.json ({} cells)", cells.len()),
-        Err(e) => eprintln!("\ncould not write BENCH_faults.json: {e}"),
-    }
+    write_artifact("BENCH_faults.json", &json);
+    println!("\nwrote BENCH_faults.json ({} cells)", cells.len());
 
     // optional exports: the canonical hostile cell's span stream, and the
     // concatenated alert JSONL of the whole sweep — both byte-deterministic
     if let Some(path) = &trace_out {
         let canonical = cells.iter().find(|c| c.profile == "hostile").unwrap_or(&cells[0]);
-        match std::fs::write(path, events_to_jsonl(&canonical.events)) {
-            Ok(()) => println!(
-                "wrote {path} ({} spans, hostile cell seed {})",
-                canonical.events.len(),
-                canonical.seed
-            ),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        write_artifact(path, events_to_jsonl(&canonical.events));
+        println!(
+            "wrote {path} ({} spans, hostile cell seed {})",
+            canonical.events.len(),
+            canonical.seed
+        );
     }
     if let Some(path) = &alerts_out {
         let all: Vec<Alert> = cells.iter().flat_map(|c| c.alerts.clone()).collect();
-        match std::fs::write(path, alerts_to_jsonl(&all)) {
-            Ok(()) => println!("wrote {path} ({} alerts)", all.len()),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        write_artifact(path, alerts_to_jsonl(&all));
+        println!("wrote {path} ({} alerts)", all.len());
     }
 
     // verdict: the hostile profile injects ≥15% drops AND ≥15% duplication —

@@ -23,6 +23,7 @@
 
 use dra4wfms_core::prelude::*;
 use dra_bench::fig9;
+use dra_bench::write_artifact;
 use dra_cloud::{
     alerts_to_jsonl, check_metric_invariants, Alert, CloudSystem, Delivery, DeliveryPolicy,
     FaultProfile, FederationStats, HealthMonitor, InstanceRun, MonitorConfig, NetworkSim,
@@ -334,17 +335,13 @@ fn main() {
         ));
     }
     json.push_str("]\n");
-    match std::fs::write("BENCH_federation.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_federation.json ({} cells)", cells.len()),
-        Err(e) => eprintln!("\ncould not write BENCH_federation.json: {e}"),
-    }
+    write_artifact("BENCH_federation.json", &json);
+    println!("\nwrote BENCH_federation.json ({} cells)", cells.len());
 
     if let Some(path) = &alerts_out {
         let all: Vec<Alert> = cells.iter().flat_map(|c| c.alerts.clone()).collect();
-        match std::fs::write(path, alerts_to_jsonl(&all)) {
-            Ok(()) => println!("wrote {path} ({} alerts)", all.len()),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        write_artifact(path, alerts_to_jsonl(&all));
+        println!("wrote {path} ({} alerts)", all.len());
     }
 
     println!(

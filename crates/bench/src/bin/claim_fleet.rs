@@ -14,6 +14,7 @@
 
 use dra4wfms_core::prelude::*;
 use dra_bench::fig9;
+use dra_bench::write_artifact;
 use dra_cloud::{tracer_for, CloudSystem, InstanceRun, NetworkSim, Scheduler};
 use dra_obs::MetricsRegistry;
 use std::collections::HashMap;
@@ -206,10 +207,8 @@ fn main() {
         json.push_str(&format!("]}}{}\n", if i + 1 == cells.len() { "" } else { "," }));
     }
     json.push_str("]\n}\n");
-    match std::fs::write("BENCH_fleet.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_fleet.json ({} cells)", cells.len()),
-        Err(e) => eprintln!("\ncould not write BENCH_fleet.json: {e}"),
-    }
+    write_artifact("BENCH_fleet.json", &json);
+    println!("\nwrote BENCH_fleet.json ({} cells)", cells.len());
 
     // verdict: every instance of every fleet completes, the bus drains,
     // notifications balance, and the hash routing spreads the stores (the

@@ -15,6 +15,7 @@
 //! Run with: `cargo run --release -p dra-bench --bin claim_fuzz [n_seeds]`
 
 use dra_bench::fuzz;
+use dra_bench::write_artifact;
 
 const DEFAULT_SEEDS: u64 = 64;
 
@@ -87,10 +88,8 @@ fn main() {
         ));
     }
     json.push_str("]\n");
-    match std::fs::write("BENCH_fuzz.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_fuzz.json ({} cells)", reports.len() + failures.len()),
-        Err(e) => eprintln!("\ncould not write BENCH_fuzz.json: {e}"),
-    }
+    write_artifact("BENCH_fuzz.json", &json);
+    println!("\nwrote BENCH_fuzz.json ({} cells)", reports.len() + failures.len());
 
     // verdict: every seed ran the full differential matrix without
     // divergence, every forgery was caught, every unsound twin rejected,

@@ -18,6 +18,7 @@ use dra4wfms_core::prelude::*;
 use dra4wfms_core::reconcile::reconcile;
 use dra_bench::chain::run_chain_incremental_traced;
 use dra_bench::fig9;
+use dra_bench::write_artifact;
 use dra_cloud::{
     check_metric_invariants, tracer_for, CloudSystem, CrashPlan, CrashPoint, Delivery,
     DeliveryPolicy, FaultProfile, InstanceRun, NetworkSim,
@@ -247,15 +248,9 @@ fn main() {
 
     // deterministic trace exports: CI runs this bin twice and byte-compares
     let events = canonical_events.expect("canonical cell ran");
-    let jsonl_ok = std::fs::write("BENCH_obs_trace.jsonl", events_to_jsonl(&events))
-        .and_then(|()| std::fs::write("BENCH_obs_trace.chrome.json", events_to_chrome(&events)));
-    match jsonl_ok {
-        Ok(()) => println!(
-            "wrote BENCH_obs_trace.jsonl + BENCH_obs_trace.chrome.json ({} events)",
-            events.len()
-        ),
-        Err(e) => eprintln!("could not write trace files: {e}"),
-    }
+    write_artifact("BENCH_obs_trace.jsonl", events_to_jsonl(&events));
+    write_artifact("BENCH_obs_trace.chrome.json", events_to_chrome(&events));
+    println!("wrote BENCH_obs_trace.jsonl + BENCH_obs_trace.chrome.json ({} events)", events.len());
 
     let mut json = String::from("{\n  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
@@ -284,10 +279,8 @@ fn main() {
         traced * 1e3,
         overhead_pct
     ));
-    match std::fs::write("BENCH_obs.json", &json) {
-        Ok(()) => println!("wrote BENCH_obs.json ({} cells)", cells.len()),
-        Err(e) => eprintln!("could not write BENCH_obs.json: {e}"),
-    }
+    write_artifact("BENCH_obs.json", &json);
+    println!("wrote BENCH_obs.json ({} cells)", cells.len());
 
     let all_reconciled = cells.iter().all(|c| c.reconciled);
     let all_invariants = cells.iter().all(|c| c.invariants.is_ok());

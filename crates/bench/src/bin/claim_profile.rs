@@ -14,6 +14,7 @@
 
 use dra4wfms_core::prelude::*;
 use dra_bench::fig9;
+use dra_bench::write_artifact;
 use dra_cloud::{
     alerts_to_jsonl, check_metric_invariants, tracer_for, Alert, CloudSystem, Delivery,
     DeliveryPolicy, FaultProfile, HealthMonitor, InstanceRun, MonitorConfig, NetworkSim,
@@ -180,17 +181,13 @@ fn main() {
         json.push_str(&format!("]}}{}\n", if i + 1 == cells.len() { "" } else { "," }));
     }
     json.push_str("]\n}\n");
-    match std::fs::write("BENCH_profile.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_profile.json ({} cells)", cells.len()),
-        Err(e) => eprintln!("\ncould not write BENCH_profile.json: {e}"),
-    }
+    write_artifact("BENCH_profile.json", &json);
+    println!("\nwrote BENCH_profile.json ({} cells)", cells.len());
 
     // the concatenated alert streams, byte-deterministic like the traces
     let all_alerts: Vec<Alert> = cells.iter().flat_map(|c| c.alerts.clone()).collect();
-    match std::fs::write("BENCH_alerts.jsonl", alerts_to_jsonl(&all_alerts)) {
-        Ok(()) => println!("wrote BENCH_alerts.jsonl ({} alerts)", all_alerts.len()),
-        Err(e) => eprintln!("could not write BENCH_alerts.jsonl: {e}"),
-    }
+    write_artifact("BENCH_alerts.jsonl", alerts_to_jsonl(&all_alerts));
+    println!("wrote BENCH_alerts.jsonl ({} alerts)", all_alerts.len());
 
     // verdict: every cell completes and balances its books, lossless cells
     // are silent, and the attribution accounts for every span

@@ -30,6 +30,7 @@ use dra_bench::chain::{
     receive_alpha_best_of, run_chain, run_chain_incremental, run_chain_incremental_traced,
     run_chain_with,
 };
+use dra_bench::write_artifact;
 use dra_crypto::ed25519::{ec_ops, ec_ops_reset};
 use dra_crypto::{verify_batch, BatchEntry, Keypair};
 use dra_obs::{events_to_chrome, events_to_jsonl, Tracer};
@@ -204,7 +205,7 @@ fn main() {
         records[63].ec_ops as f64 / batched[63].ec_ops as f64
     );
     println!(
-        "  incremental canonicalization alloc at step 64: {} B (warm prefix arena)",
+        "  incremental canonicalization alloc at step 64: {} B (memoized parts streamed into the prefix hash)",
         incremental[63].canon_alloc
     );
 
@@ -229,14 +230,12 @@ fn main() {
         ));
     }
     json.push_str("]\n");
-    match std::fs::write("BENCH_scaling.json", &json) {
-        Ok(()) => println!(
-            "\nwrote BENCH_scaling.json ({} deterministic cells{})",
-            cells.len(),
-            if with_batch_cells { ", with batch cells" } else { "" }
-        ),
-        Err(e) => eprintln!("\ncould not write BENCH_scaling.json: {e}"),
-    }
+    write_artifact("BENCH_scaling.json", &json);
+    println!(
+        "\nwrote BENCH_scaling.json ({} deterministic cells{})",
+        cells.len(),
+        if with_batch_cells { ", with batch cells" } else { "" }
+    );
     let metrics = dra_obs::MetricsRegistry::new();
     metrics.incr("scaling.sweep_rows", records.len() as u64);
     metrics.incr("scaling.counter_cells", cells.len() as u64);
@@ -248,12 +247,9 @@ fn main() {
         run_chain_incremental_traced(64, true, &payload, &tracer);
         let events = tracer.events();
         let chrome_path = format!("{path}.chrome.json");
-        match std::fs::write(&path, events_to_jsonl(&events))
-            .and_then(|()| std::fs::write(&chrome_path, events_to_chrome(&events)))
-        {
-            Ok(()) => println!("wrote {} events to {path} and {chrome_path}", events.len()),
-            Err(e) => eprintln!("could not write trace: {e}"),
-        }
+        write_artifact(&path, events_to_jsonl(&events));
+        write_artifact(&chrome_path, events_to_chrome(&events));
+        println!("wrote {} events to {path} and {chrome_path}", events.len());
         metrics.incr("scaling.trace_spans", events.len() as u64);
     }
 

@@ -23,6 +23,17 @@ pub mod table;
 
 pub use fig9::{run_fig9_trace, StepRecord};
 
+/// Write a bench artifact (`BENCH_*.json`, a trace or alert sidecar). A
+/// failed write is fatal: the bin exits with status 2, so a CI step that
+/// compares the file never reads a stale copy left by an earlier run.
+pub fn write_artifact(path: impl AsRef<std::path::Path>, contents: impl AsRef<[u8]>) {
+    let path = path.as_ref();
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("could not write {}: {e}", path.display());
+        std::process::exit(2);
+    }
+}
+
 /// End-of-bin metric gate shared by every `claim_*` binary: run the
 /// cross-layer accounting invariants on whatever the bin recorded and exit
 /// nonzero on a violation. Bins that never touch the delivery layer still

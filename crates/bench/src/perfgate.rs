@@ -12,14 +12,14 @@
 //! per line with a fixed key order, and this module reads exactly that
 //! shape back.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// A parsed profile: `(cell, stage) → p95_us`.
 pub type ProfileIndex = BTreeMap<(String, String), u64>;
 
 /// Per-stage tolerance table: how much a stage's p95 may grow (percent)
-/// before the gate fails.
+/// before the gate fails, and which stages may not move at all.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Tolerances {
     /// Applied to any stage with no explicit entry.
@@ -27,6 +27,11 @@ pub struct Tolerances {
     /// Stage-specific overrides (tighter for hot stages, looser for noisy
     /// composites).
     pub stages: BTreeMap<String, f64>,
+    /// Two-sided stages: verdict counters (`detected`, `quarantines`, …)
+    /// that fail the gate when they move in *either* direction — a
+    /// forgery count falling to zero is as much a regression as a cost
+    /// growing.
+    pub exact: BTreeSet<String>,
 }
 
 impl Tolerances {
@@ -94,17 +99,30 @@ pub fn parse_scaling(text: &str) -> ProfileIndex {
     out
 }
 
-/// Parse a tolerance file: `{"default_pct": N, "stages": {"hop": N, …}}`.
+/// Parse a tolerance file:
+/// `{"default_pct": N, "exact": ["detected", …], "stages": {"hop": N, …}}`
+/// (the `exact` list on one line, and optional).
 /// Returns `None` when no `default_pct` is present (malformed file —
 /// better to fail the gate than to silently wave regressions through).
 #[must_use]
 pub fn parse_tolerances(text: &str) -> Option<Tolerances> {
     let mut default_pct = None;
     let mut stages = BTreeMap::new();
+    let mut exact = BTreeSet::new();
     let mut in_stages = false;
     for line in text.lines() {
         if let Some(d) = num_field(line, "default_pct") {
             default_pct = Some(d);
+        }
+        if let Some((_, rest)) = line.split_once("\"exact\":") {
+            let items = rest.split(['[', ']']).nth(1).unwrap_or("");
+            exact.extend(
+                items
+                    .split(',')
+                    .map(|k| k.trim().trim_matches('"'))
+                    .filter(|k| !k.is_empty())
+                    .map(str::to_string),
+            );
         }
         if line.contains("\"stages\"") {
             in_stages = true;
@@ -125,7 +143,7 @@ pub fn parse_tolerances(text: &str) -> Option<Tolerances> {
             }
         }
     }
-    Some(Tolerances { default_pct: default_pct?, stages })
+    Some(Tolerances { default_pct: default_pct?, stages, exact })
 }
 
 /// One gate violation, human-readable.
@@ -138,9 +156,10 @@ pub struct Violation {
 }
 
 /// Compare `new` against `baseline` under `tol`. Violations: a baseline
-/// stage that disappeared (instrumentation silently lost), or a stage
-/// whose p95 grew beyond its tolerance. New stages are allowed — they
-/// join the baseline on the next regeneration.
+/// stage that disappeared (instrumentation silently lost), a stage whose
+/// p95 grew beyond its tolerance, or an exact stage that moved either way.
+/// New stages are allowed — they join the baseline on the next
+/// regeneration.
 #[must_use]
 pub fn gate(baseline: &ProfileIndex, new: &ProfileIndex, tol: &Tolerances) -> Vec<Violation> {
     let mut violations = Vec::new();
@@ -151,6 +170,16 @@ pub fn gate(baseline: &ProfileIndex, new: &ProfileIndex, tol: &Tolerances) -> Ve
                 key,
                 detail: "stage present in baseline but missing from the new profile".into(),
             }),
+            Some(&new_value) if tol.exact.contains(stage) => {
+                if new_value != base_p95 {
+                    violations.push(Violation {
+                        key,
+                        detail: format!(
+                            "exact counter moved: {base_p95} → {new_value} (must stay equal)"
+                        ),
+                    });
+                }
+            }
             Some(&new_p95) => {
                 let pct = tol.for_stage(stage);
                 let allowed = (base_p95 as f64 * (1.0 + pct / 100.0)).floor() as u64;
@@ -183,13 +212,18 @@ pub fn report(baseline: &ProfileIndex, new: &ProfileIndex, tol: &Tolerances) -> 
         let key = format!("{cell}/{stage}");
         let new_p95 = new.get(&(cell.clone(), stage.clone()));
         let bad = violations.iter().any(|v| v.key == key);
+        let allowed = if tol.exact.contains(stage) {
+            "exact".to_string()
+        } else {
+            format!("{}%", tol.for_stage(stage))
+        };
         let _ = writeln!(
             out,
-            "{:<28} {:>10} {:>10} {:>7}% {:>8}",
+            "{:<28} {:>10} {:>10} {:>8} {:>8}",
             key,
             base_p95,
             new_p95.map_or("missing".to_string(), u64::to_string),
-            tol.for_stage(stage),
+            allowed,
             if bad { "FAIL" } else { "ok" }
         );
     }
@@ -217,8 +251,10 @@ mod tests {
 
     const TOLERANCES: &str = r#"{
   "default_pct": 25,
+  "exact": ["detected", "quarantines"],
   "stages": {
-    "hop": 10
+    "hop": 10,
+    "detected": 0
   }
 }"#;
 
@@ -239,7 +275,7 @@ mod tests {
     #[test]
     fn scaling_gate_catches_ec_op_regressions() {
         let base = parse_scaling(SCALING);
-        let tol = Tolerances { default_pct: 0.0, stages: BTreeMap::new() };
+        let tol = Tolerances { default_pct: 0.0, stages: BTreeMap::new(), exact: BTreeSet::new() };
         assert_eq!(gate(&base, &base, &tol), vec![]);
         let worse =
             parse_scaling(&SCALING.replace("\"batch_ec_ops\": 1500", "\"batch_ec_ops\": 1501"));
@@ -265,6 +301,9 @@ mod tests {
         assert!((tol.default_pct - 25.0).abs() < f64::EPSILON);
         assert!((tol.for_stage("hop") - 10.0).abs() < f64::EPSILON);
         assert!((tol.for_stage("deliver") - 25.0).abs() < f64::EPSILON);
+        let exact: Vec<&str> = tol.exact.iter().map(String::as_str).collect();
+        assert_eq!(exact, ["detected", "quarantines"]);
+        assert!(!tol.stages.contains_key("exact"), "the exact list is not a stage");
         assert_eq!(parse_tolerances("{}"), None, "missing default_pct is malformed");
     }
 
@@ -320,6 +359,29 @@ mod tests {
         let mut new = base.clone();
         new.insert(("basic/lossless".into(), "journal_commit".into()), 500);
         assert_eq!(gate(&base, &new, &tol), vec![]);
+    }
+
+    #[test]
+    fn exact_counter_fails_when_it_drops() {
+        const DASHBOARD: &str = r#"[
+  {"cell": "tampered", "tampered_rows": 4, "detected": 4, "false_positives": 0}
+]"#;
+        let base = parse_scaling(DASHBOARD);
+        let tol = parse_tolerances(TOLERANCES).unwrap();
+        assert_eq!(gate(&base, &base, &tol), vec![]);
+        // a growth-only gate waves a verdict counter falling to zero through
+        let dropped = parse_scaling(&DASHBOARD.replace("\"detected\": 4", "\"detected\": 0"));
+        let violations = gate(&base, &dropped, &tol);
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].key, "tampered/detected");
+        assert!(violations[0].detail.contains("4 → 0"));
+        // and growth fails too, although the percent tolerance would allow none either
+        let grown = parse_scaling(&DASHBOARD.replace("\"detected\": 4", "\"detected\": 5"));
+        assert_eq!(gate(&base, &grown, &tol).len(), 1);
+        // a non-exact counter may still fall
+        let fewer =
+            parse_scaling(&DASHBOARD.replace("\"tampered_rows\": 4", "\"tampered_rows\": 3"));
+        assert_eq!(gate(&base, &fewer, &tol), vec![]);
     }
 
     #[test]

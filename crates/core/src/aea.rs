@@ -52,8 +52,8 @@ pub struct Aea {
 /// activity execution, with the request fields the participant may see.
 #[derive(Debug)]
 pub struct ReceivedActivity {
-    /// The verified document.
-    pub doc: DraDocument,
+    /// The verified document, shared with the seal it arrived in.
+    pub doc: SealedDocument,
     /// Parsed workflow definition.
     pub def: WorkflowDefinition,
     /// Parsed security policy.
@@ -168,7 +168,7 @@ impl Aea {
         }
         let trust = outcome.mark.expect("incremental mode issues a mark");
         let reused_cers = outcome.reused_cers;
-        let doc = sealed.into_document();
+        let doc = sealed;
         // dynamic flow control: fold any (already verified) amendments into
         // the effective definition and policy
         let (def, policy) = crate::amendment::effective_definition(&doc)?;
@@ -294,7 +294,7 @@ impl Aea {
             &reader,
         )?;
 
-        let mut document = received.doc.clone();
+        let mut document = received.doc.clone().into_document();
         let key = CerKey::new(received.activity.clone(), received.iter);
         let mut span_sign = self
             .tracer
@@ -370,7 +370,7 @@ impl Aea {
         let sealed_el =
             Element::new("TfcSealed").attr("tfc", tfc_name).text(dra_crypto::b64::encode(&sealed));
 
-        let mut document = received.doc.clone();
+        let mut document = received.doc.clone().into_document();
         let mut span_sign = self
             .tracer
             .span(stage::SIGN)

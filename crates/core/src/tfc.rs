@@ -18,7 +18,7 @@
 //! [`TfcServer::receive`] is the TFC's share of the α column and
 //! [`TfcServer::finalize`] is the γ column.
 
-use crate::document::{CerKey, DraDocument};
+use crate::document::CerKey;
 use crate::error::{WfError, WfResult};
 use crate::faultpoint::{site, CrashHook};
 use crate::fields::{build_result_element, plain_fields};
@@ -73,8 +73,8 @@ pub struct TfcServer {
 /// A verified, unsealed intermediate document awaiting finalization.
 #[derive(Debug)]
 pub struct TfcReceived {
-    /// The intermediate document.
-    pub doc: DraDocument,
+    /// The intermediate document, shared with the seal it arrived in.
+    pub doc: SealedDocument,
     /// Parsed definition.
     pub def: WorkflowDefinition,
     /// Parsed policy.
@@ -170,9 +170,10 @@ impl TfcServer {
     /// (the TFC's α phase in Table 2) — the single ingest entry point.
     ///
     /// Accepts anything convertible to [`Inbound`]: wire XML, a parsed
-    /// [`DraDocument`], or a [`SealedDocument`] straight from the executing
-    /// AEA. A carried [`TrustMark`] reduces verification to the intermediate
-    /// CER just appended; every other form takes the full pass.
+    /// [`DraDocument`](crate::document::DraDocument), or a
+    /// [`SealedDocument`] straight from the executing AEA. A carried
+    /// [`TrustMark`] reduces verification to the intermediate CER just
+    /// appended; every other form takes the full pass.
     pub fn receive(&self, inbound: impl Into<Inbound>) -> WfResult<TfcReceived> {
         let mut span_verify = self.tracer.span(stage::VERIFY).actor(&self.creds.name);
         let sealed = inbound.into().into_sealed()?;
@@ -193,14 +194,20 @@ impl TfcServer {
                 "document does not end with an intermediate (TFC-bound) CER".into(),
             ));
         }
-        let doc = sealed.into_document();
+        let doc = sealed;
         // The onward mark stops short of the intermediate CER, which
-        // finalization is about to mutate in place.
+        // finalization is about to mutate in place. The AEA's mark pins
+        // exactly that prefix; when it matched, its digest is reused.
         let fresh = outcome.mark.expect("incremental mode issues a mark");
+        let onward = report.cers.len() - 1;
+        let prefix_digest = match doc.trust() {
+            Some(m) if !outcome.fell_back && m.verified_cers == onward => m.prefix_digest,
+            _ => prefix_digest(&doc, onward)?,
+        };
         let trust = TrustMark {
             process_id: report.process_id.clone(),
-            verified_cers: report.cers.len() - 1,
-            prefix_digest: prefix_digest(&doc, report.cers.len() - 1)?,
+            verified_cers: onward,
+            prefix_digest,
             signatures_verified: fresh.signatures_verified,
         };
 
@@ -241,7 +248,9 @@ impl TfcServer {
     /// reuses the logged timestamp — and, when the first pass got as far as
     /// recording its output, re-emits those exact bytes.
     pub fn finalize(&self, received: &TfcReceived) -> WfResult<TfcProcessed> {
-        let redo_key = dra_crypto::sha256(received.doc.to_xml_string().as_bytes());
+        // Keyed by the re-serialized tree, not the received bytes: a
+        // corrupted-in-transit copy that still verifies must hit the entry.
+        let redo_key = dra_crypto::sha256(received.doc.document().to_xml_string().as_bytes());
 
         // redo fast path: this intermediate document was fully finalized
         // before a crash cut off the forwarding — re-emit identical bytes.
@@ -295,7 +304,7 @@ impl TfcServer {
             .attr("time", timestamp.to_string())
             .attr("by", self.creds.name.clone());
 
-        let mut document = received.doc.clone();
+        let mut document = received.doc.clone().into_document();
         {
             let cer_el = document
                 .find_cer_element_mut(&received.key)?
@@ -368,6 +377,7 @@ impl TfcServer {
 mod tests {
     use super::*;
     use crate::aea::Aea;
+    use crate::document::DraDocument;
     use crate::model::{Condition, JoinKind};
     use crate::verify::Verifier;
 

@@ -9,7 +9,7 @@ use crate::document::{CerKey, CerView, DraDocument, PredRef};
 use crate::error::{WfError, WfResult};
 use crate::identity::Directory;
 use crate::model::WorkflowDefinition;
-use crate::sealed::{prefix_digest, TrustMark};
+use crate::sealed::{prefix_digest, prefix_digests, TrustMark};
 use dra_xml::canon::canonicalize_all;
 use std::collections::HashMap;
 
@@ -412,14 +412,16 @@ impl<'a> Verifier<'a> {
             }
         };
 
+        // One pass over the canonical prefix yields both the digest the
+        // incoming mark is checked against and the one the next mark pins.
+        let mut whole_digest = None;
         let usable_prefix = match self.mark {
             Some(m) => {
                 let total = doc.cers()?.len();
-                if m.process_id == doc.process_id()?
-                    && m.verified_cers <= total
-                    && prefix_digest(doc, m.verified_cers)? == m.prefix_digest
-                {
-                    Some(m.verified_cers)
+                if m.process_id == doc.process_id()? && m.verified_cers <= total {
+                    let (at, whole) = prefix_digests(doc, m.verified_cers)?;
+                    whole_digest = Some(whole);
+                    (at == Some(m.prefix_digest)).then_some(m.verified_cers)
                 } else {
                     None
                 }
@@ -444,7 +446,10 @@ impl<'a> Verifier<'a> {
                 (Some(_), Some(m)) => m.signatures_verified,
                 _ => 0,
             };
-            Some(trust_mark_for(doc, &report, prior)?)
+            Some(match whole_digest {
+                Some(digest) => mark_with_digest(&report, prior, digest),
+                None => trust_mark_for(doc, &report, prior)?,
+            })
         } else {
             None
         };
@@ -488,12 +493,22 @@ pub fn trust_mark_for(
     report: &VerificationReport,
     prior_signatures: usize,
 ) -> WfResult<TrustMark> {
-    Ok(TrustMark {
+    Ok(mark_with_digest(report, prior_signatures, prefix_digest(doc, report.cers.len())?))
+}
+
+/// The mark [`trust_mark_for`] issues, given the whole-document prefix
+/// digest already computed.
+fn mark_with_digest(
+    report: &VerificationReport,
+    prior_signatures: usize,
+    prefix_digest: [u8; 32],
+) -> TrustMark {
+    TrustMark {
         process_id: report.process_id.clone(),
         verified_cers: report.cers.len(),
-        prefix_digest: prefix_digest(doc, report.cers.len())?,
+        prefix_digest,
         signatures_verified: prior_signatures + report.signatures_verified,
-    })
+    }
 }
 
 /// Execute planned signature checks: batched when requested (aggregate

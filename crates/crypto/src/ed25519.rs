@@ -538,10 +538,16 @@ impl SecretKey {
         PublicKey(Point::basepoint().scalar_mul(&a).compress())
     }
 
-    /// Sign a message.
+    /// Sign a message. Derives the public key first (one basepoint
+    /// multiplication); [`Keypair::sign`] reuses its stored half instead.
     pub fn sign(&self, message: &[u8]) -> Signature {
+        self.sign_with_public(&self.public_key(), message)
+    }
+
+    /// RFC 8032 signing with `public` as the key bound into the challenge.
+    /// `public` must be this secret's own public key.
+    fn sign_with_public(&self, public: &PublicKey, message: &[u8]) -> Signature {
         let (a, prefix) = self.expand();
-        let public = self.public_key();
 
         let mut h = Sha512::new();
         h.update(&prefix);
@@ -580,9 +586,10 @@ impl Keypair {
         Keypair { secret, public }
     }
 
-    /// Sign a message with the secret half.
+    /// Sign a message with the secret half, binding the stored public half
+    /// into the challenge instead of re-deriving it.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        self.secret.sign(message)
+        self.secret.sign_with_public(&self.public, message)
     }
 }
 
@@ -945,6 +952,16 @@ mod tests {
     fn signature_is_deterministic() {
         let kp = Keypair::from_seed([77u8; 32]);
         assert_eq!(kp.sign(b"same message"), kp.sign(b"same message"));
+    }
+
+    #[test]
+    fn keypair_sign_matches_secret_key_sign() {
+        for seed in [[0u8; 32], [77u8; 32], [0xffu8; 32]] {
+            let kp = Keypair::from_seed(seed);
+            for msg in [&b""[..], b"a", b"workflow execution result"] {
+                assert_eq!(kp.sign(msg), kp.secret.sign(msg), "stored public key signs the same");
+            }
+        }
     }
 
     #[test]

@@ -83,13 +83,15 @@ pub fn canon_alloc_reset() {
 
 /// A reusable canonicalization buffer.
 ///
-/// Incremental verification canonicalizes the same growing prefix on every
-/// hop — with [`canonicalize_all`] that is a fresh `Vec` allocation of the
-/// whole prefix each time, even though every element's bytes come straight
-/// out of the memo. An arena keeps one buffer alive across calls: the
-/// buffer is cleared (capacity retained) and refilled, so the steady state
-/// allocates nothing and the per-hop cost is a pure memcpy of memoized
-/// parts.
+/// For callers that need the framed bytes of the same (or a growing) set
+/// of elements again and again: with [`canonicalize_all`] each call is a
+/// fresh `Vec` allocation of the whole sequence, even though every
+/// element's bytes come straight out of the memo. An arena keeps one
+/// buffer alive across calls: the buffer is cleared (capacity retained)
+/// and refilled, so the steady state allocates nothing and each call is a
+/// pure memcpy of memoized parts. (A caller that only needs a digest of
+/// the framed bytes can skip the buffer entirely and feed each memoized
+/// part to the hasher, as the trust-mark prefix digest does.)
 #[derive(Debug, Default)]
 pub struct CanonArena {
     buf: Vec<u8>,
